@@ -10,8 +10,8 @@ The algorithm iterates a bulk-synchronous round until a global fixpoint:
 1. every rank generates *constraints* from its leaves — for each leaf at
    level ``l`` and each neighbor direction, the same-size neighbor region,
    transformed into the neighbor tree when it lies outside the leaf's own
-   tree (faces use the rigid :class:`CellTransform`; edge/corner regions
-   use the pinned seeds of the edge/corner links);
+   tree (one evaluation of the connectivity's link-image table: the rigid
+   face transforms and the pinned edge/corner seeds);
 2. constraints are routed to the ranks owning any leaf overlapping them
    (SFC owner search) with one sparse exchange;
 3. each rank refines any leaf that is a *proper ancestor* of a constraint
@@ -46,20 +46,6 @@ from repro.parallel.ops import LAND, LOR
 from repro.trace.tracer import PHASE_BALANCE, traced
 
 
-def edge_index(axis: int, sides: Dict[int, int]) -> int:
-    """3D edge number from its direction axis and transverse side bits."""
-    trans = [a for a in range(3) if a != axis]
-    s0, s1 = sides[trans[0]], sides[trans[1]]
-    return 4 * axis + s0 + 2 * s1
-
-
-def corner_index(dim: int, sides: Dict[int, int]) -> int:
-    c = 0
-    for a in range(dim):
-        c |= sides[a] << a
-    return c
-
-
 def generate_neighbor_regions(
     conn: Connectivity, leaves: Octants, codim: int, min_level: int = 0
 ) -> Octants:
@@ -85,80 +71,41 @@ def generate_neighbor_regions(
         out.append(nb[take])
     outside = ~inside if deep is None else ~inside & deep
     if outside.any():
-        out.extend(_route_exterior(conn, nb[outside]))
+        _, routed = route_exterior_indexed(conn, nb[outside])
+        if len(routed):
+            out.append(routed)
     if not out:
         return Octants.empty(dim)
     return Octants.concat(out)
 
 
 def route_exterior_indexed(
-    conn: Connectivity, ext: Octants, src_idx: np.ndarray
-) -> List[Tuple[np.ndarray, Octants]]:
-    """Map exterior octants through face/edge/corner links of their tree,
-    preserving the caller's per-octant source indices.
+    conn: Connectivity, ext: Octants, src_idx: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, Octants]:
+    """Map exterior octants through the face/edge/corner links of their
+    tree, keeping per-image source indices.
 
     Octants outside exactly one axis go through the face transform;
     outside two axes through the edge links (3D) or corner links (2D);
-    outside three axes through the corner links.  The octants are grouped
-    by (tree, boundary pattern) with one stable sort and sliced into
-    contiguous views — per-group boolean scans of the whole array were a
-    leading cost of Balance and Ghost before the flat-array refactor.
+    outside three axes through the corner links.  All of them are one
+    column-wise evaluation of ``conn.link_images``.  Returns ``(src,
+    images)`` where ``src[i]`` is ``src_idx`` (default: the position in
+    ``ext``) of the octant ``images[i]`` came from; an octant has one
+    image per link sharing its boundary entity and none beyond an
+    unconnected boundary.  Image order is unspecified — every consumer
+    dedups or takes an order-free union.
     """
     dim = conn.dim
     L = conn.D.root_len
-    coords = [ext.x, ext.y, ext.z]
-    # Per-axis status: 0 inside, 1 out-low, 2 out-high.
-    patt = np.zeros(len(ext), dtype=np.int64)
+    coords = [ext.x, ext.y, ext.z][:dim]
+    code = ext.tree.astype(np.int64) * 3**dim
     for a in range(dim):
-        lowa = coords[a] < 0
-        higha = coords[a] >= L
-        patt += (lowa * 1 + higha * 2) * (3**a)
-    combined = ext.tree.astype(np.int64) * (3**dim) + patt
-    order = np.argsort(combined, kind="stable")
-    ext_s = ext[order]
-    idx_s = src_idx[order]
-    codes_s = combined[order]
-    cut = np.flatnonzero(codes_s[1:] != codes_s[:-1]) + 1
-    starts = np.concatenate([[0], cut])
-    ends = np.concatenate([cut, [len(ext)]]) if len(ext) else starts
-    results: List[Tuple[np.ndarray, Octants]] = []
-    for a0, b0 in zip(starts, ends):
-        group = ext_s[a0:b0]
-        gidx = idx_s[a0:b0]
-        code = int(codes_s[a0])
-        tree = code // (3**dim)
-        p = code % (3**dim)
-        digits = [(p // (3**a)) % 3 for a in range(dim)]
-        out_axes = [a for a in range(dim) if digits[a] != 0]
-        sides = {a: digits[a] - 1 for a in out_axes}
-        n_out = len(out_axes)
-        if n_out == 1:
-            a = out_axes[0]
-            face = 2 * a + sides[a]
-            link = conn.face_links.get((tree, face))
-            if link is not None:
-                results.append(
-                    (gidx, link.transform.apply_octants(group, link.nb_tree))
-                )
-        elif n_out == 2 and dim == 3:
-            axis = next(a for a in range(3) if a not in out_axes)
-            e = edge_index(axis, sides)
-            for elink in conn.edge_links.get((tree, e), ()):  # all sharers
-                results.append((gidx, elink.seed_octants(group, L)))
-        else:
-            # Corner region: 2 axes out in 2D, 3 axes out in 3D.
-            cidx = corner_index(dim, sides)
-            for clink in conn.corner_links.get((tree, cidx), ()):
-                results.append((gidx, clink.seed_octants(group, L)))
-    return results
-
-
-def _route_exterior(conn: Connectivity, ext: Octants) -> List[Octants]:
-    """Link images of exterior octants, without source-index tracking."""
-    routed = route_exterior_indexed(
-        conn, ext, np.empty(len(ext), dtype=np.int64)
-    )
-    return [group for _, group in routed]
+        code += (coords[a] < 0) * 3**a + (coords[a] >= L) * (2 * 3**a)
+    src, tree, out = conn.link_images.apply(code, coords, h=ext.lens())
+    if dim == 2:
+        out.append(np.zeros(len(src), dtype=np.int64))
+    images = Octants._wrap(dim, tree, *out, ext.level[src])
+    return (src if src_idx is None else src_idx[src]), images
 
 
 def dedup_octants(octs: Octants) -> Octants:

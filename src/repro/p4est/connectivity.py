@@ -21,11 +21,16 @@ Transforms come in three kinds:
 * Edge links map the along-edge coordinate and pin the transverse
   coordinates inward of the neighbor's edge.
 * Corner links pin all coordinates at the neighbor's corner.
+
+All three are affine per target axis, so :class:`LinkImageTable` flattens
+every link of a connectivity into one table that Balance, Ghost and Nodes
+evaluate column-wise over all exterior octants (or boundary nodes) at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -106,6 +111,20 @@ def edge_transverse_sides(edge: int) -> Dict[int, int]:
 
 def corner_coords(dim: int, corner: int, length: int) -> Tuple[int, ...]:
     return tuple(((corner >> a) & 1) * length for a in range(dim))
+
+
+def edge_index(axis: int, sides: Dict[int, int]) -> int:
+    """3D edge number from its direction axis and transverse side bits."""
+    trans = [a for a in range(3) if a != axis]
+    s0, s1 = sides[trans[0]], sides[trans[1]]
+    return 4 * axis + s0 + 2 * s1
+
+
+def corner_index(dim: int, sides: Dict[int, int]) -> int:
+    c = 0
+    for a in range(dim):
+        c |= sides[a] << a
+    return c
 
 
 # Transforms -------------------------------------------------------------------
@@ -241,17 +260,6 @@ class EdgeLink:
         tree = np.full(len(octs), self.nb_tree, dtype=np.int32)
         return Octants(3, tree, out[0], out[1], out[2], octs.level.copy())
 
-    def map_point(self, along: int, maxlevel_len: int) -> Tuple[int, int, int]:
-        """Map a lattice point on my edge (by its along-coordinate) to the
-        neighbor tree's coordinates of the same physical point."""
-        L = maxlevel_len
-        a2 = edge_axis(self.nb_edge)
-        out = [0, 0, 0]
-        out[a2] = (L - along) if self.flipped else along
-        for ax, side in edge_transverse_sides(self.nb_edge).items():
-            out[ax] = 0 if side == 0 else L
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class CornerLink:
@@ -279,8 +287,127 @@ class CornerLink:
         tree = np.full(len(octs), self.nb_tree, dtype=np.int32)
         return Octants(dim, tree, out[0], out[1], out[2], octs.level.copy())
 
-    def map_point(self, dim: int, maxlevel_len: int) -> Tuple[int, ...]:
-        return corner_coords(dim, self.nb_corner, maxlevel_len)
+
+# The link-image table ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LinkImageTable:
+    """Every face, edge and corner link image of a connectivity as rows of
+    one flat affine table.
+
+    An item (octant or lattice point) outside, or on the boundary of, its
+    tree has the *code* ``tree * 3**dim + pattern``, where the pattern has
+    one base-3 digit per axis: 0 inside, 1 at/below the low side, 2 at/above
+    the high side.  Rows ``ptr[code]:ptr[code + 1]`` are that code's link
+    images; row ``r`` maps into tree ``nb_tree[r]`` by, for target axis
+    ``j``::
+
+        out_j = sign[j, r] * coord[perm[j, r]] + scale * const[j, r] + hcoef[j, r] * h
+
+    Octants use ``scale=1`` and their side ``h`` (the flipped-axis cell
+    correction of :class:`CellTransform` and the inward pinning of edge and
+    corner seeds); degree-N node keys use ``scale=N`` and no ``h`` term.
+    Edge and corner rows have ``sign = 0`` on pinned axes.  Columns are
+    stored per axis so each evaluation gathers only what it needs.
+    """
+
+    dim: int
+    ptr: np.ndarray  # (num_trees * 3**dim + 1,) CSR row offsets per code
+    nb_tree: np.ndarray  # (rows,) int32 target tree
+    perm: np.ndarray  # (dim, rows) source axis per target axis
+    sign: np.ndarray  # (dim, rows) -1, 0 (pinned) or +1
+    const: np.ndarray  # (dim, rows) lattice offset
+    hcoef: np.ndarray  # (dim, rows) 0 or -1: multiple of the cell side
+
+    @classmethod
+    def build(cls, conn: "Connectivity") -> "LinkImageTable":
+        """Flatten the link objects of ``conn`` into the table."""
+        dim = conn.dim
+        ncode = 3**dim
+        counts = np.zeros(conn.num_trees * ncode + 1, dtype=np.int64)
+        rows: list = []
+        for tree in range(conn.num_trees):
+            for pattern in range(1, ncode):
+                got = _pattern_rows(conn, tree, pattern)
+                counts[tree * ncode + pattern + 1] = len(got)
+                rows.extend(got)
+        cols = [np.array([r[c] for r in rows], dtype=np.int64).reshape(-1, dim).T
+                for c in range(1, 5)]
+        return cls(
+            dim,
+            np.cumsum(counts),
+            np.array([r[0] for r in rows], dtype=np.int32),
+            *(np.ascontiguousarray(c) for c in cols),
+        )
+
+    def apply(
+        self,
+        codes: np.ndarray,
+        coords: Sequence[np.ndarray],
+        h: Optional[np.ndarray] = None,
+        scale: int = 1,
+    ) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
+        """All link images of items with the given codes, in one pass.
+
+        ``coords`` holds the ``dim`` coordinate columns of the items and
+        ``h`` their cell sides (omit for points).  Returns ``(src, tree,
+        out)``: the source item of each image, its target tree, and the
+        ``dim`` image coordinate columns.  An item with ``m`` link images
+        yields ``m`` consecutive images; codes without links yield none.
+        """
+        start = self.ptr[codes]
+        counts = self.ptr[codes + 1] - start
+        total = int(counts.sum())
+        src = np.repeat(np.arange(len(codes), dtype=np.int64), counts)
+        # Row of each image: its code's first row plus its rank within
+        # the source item's run.
+        row = np.arange(total, dtype=np.int64)
+        row += np.repeat(start - (np.cumsum(counts) - counts), counts)
+        stacked = np.stack([np.asarray(c, dtype=np.int64) for c in coords])
+        hs = h[src] if h is not None else None
+        out = []
+        for j in range(self.dim):
+            val = self.sign[j][row] * stacked[self.perm[j][row], src]
+            val += scale * self.const[j][row]
+            if hs is not None:
+                val += self.hcoef[j][row] * hs
+            out.append(val)
+        return src, self.nb_tree[row], out
+
+
+def _pattern_rows(conn: "Connectivity", tree: int, pattern: int) -> list:
+    """Table rows ``(nb_tree, perm, sign, const, hcoef)`` of one code."""
+    dim = conn.dim
+    L = conn.D.root_len
+    digits = [(pattern // 3**a) % 3 for a in range(dim)]
+    sides = {a: d - 1 for a, d in enumerate(digits) if d}
+    if len(sides) == 1:
+        ((a, side),) = sides.items()
+        link = conn.face_links.get((tree, 2 * a + side))
+        if link is None:
+            return []
+        t = link.transform
+        hcoef = tuple(-1 if sg < 0 else 0 for sg in t.sign)
+        return [(link.nb_tree, t.perm, t.sign, t.offset, hcoef)]
+    rows = []
+    if len(sides) == 2 and dim == 3:
+        axis = next(a for a in range(3) if a not in sides)
+        for el in conn.edge_links.get((tree, edge_index(axis, sides)), ()):
+            perm, sign, const, hcoef = [0] * 3, [0] * 3, [0] * 3, [0] * 3
+            a2 = edge_axis(el.nb_edge)
+            perm[a2] = axis
+            sign[a2], const[a2], hcoef[a2] = (-1, L, -1) if el.flipped else (1, 0, 0)
+            for ax, sd in edge_transverse_sides(el.nb_edge).items():
+                const[ax], hcoef[ax] = L * sd, -sd
+            rows.append((el.nb_tree, perm, sign, const, hcoef))
+        return rows
+    for cl in conn.corner_links.get((tree, corner_index(dim, sides)), ()):
+        bits = [(cl.nb_corner >> a) & 1 for a in range(dim)]
+        rows.append(
+            (cl.nb_tree, [0] * dim, [0] * dim, [L * b for b in bits], [-b for b in bits])
+        )
+    return rows
 
 
 # The connectivity --------------------------------------------------------------
@@ -345,6 +472,14 @@ class Connectivity:
 
     def is_boundary_face(self, tree: int, face: int) -> bool:
         return (tree, face) not in self.face_links
+
+    @cached_property
+    def link_images(self) -> LinkImageTable:
+        """The :class:`LinkImageTable` of this connectivity (built on first
+        use and kept on the instance, so it lives exactly as long as the
+        connectivity).  Ranks sharing one connectivity may race to build
+        it; they build equal immutable tables, so either result serves."""
+        return LinkImageTable.build(self)
 
     # Face link construction -----------------------------------------------------
 

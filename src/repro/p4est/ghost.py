@@ -17,14 +17,23 @@ symmetric, so this sender-side rule delivers exactly one layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.p4est.balance import generate_neighbor_regions, split_by_dest
+from repro.p4est.balance import (
+    generate_neighbor_regions,
+    route_exterior_indexed,
+    split_by_dest,
+)
 from repro.p4est.forest import Forest, octants_from_wire, octants_to_wire
 from repro.parallel.collectives import collective
-from repro.p4est.octant import Octants, neighborhood
+from repro.p4est.octant import (
+    Octants,
+    is_ancestor_pairwise,
+    neighborhood,
+    searchsorted_octants,
+)
 from repro.trace.tracer import PHASE_GHOST, traced
 
 
@@ -107,33 +116,26 @@ def build_ghost(
     n = len(leaves)
 
     # For each leaf, which remote ranks own a region adjacent to it?  One
-    # batched neighbor generation over every direction; exterior regions
-    # are routed through the connectivity in indexed groups.
-    regions_per_leaf: List[Tuple[np.ndarray, Octants]] = []
-    if n:
-        src_all, nb = neighborhood(leaves, codim)
-        inside = nb.inside_root()
-        if inside.any():
-            regions_per_leaf.append((src_all[inside], nb[inside]))
-        outside = ~inside
-        if outside.any():
-            regions_per_leaf.extend(
-                _route_exterior_indexed(forest, nb[outside], src_all[outside])
-            )
-
-    # Resolve the owner rank range of every region and flatten into
-    # (dest rank, source leaf) pairs; duplicate pairs collapse in one
-    # vectorized pass (the former per-rank Python set accumulation).
+    # batched neighbor generation over every direction; the exterior
+    # regions are routed through the connectivity in one table pass.
+    # Owner search runs once on the inside regions and once on all routed
+    # ones (no concatenation of the large inside set), and duplicate
+    # (dest rank, source leaf) pairs collapse in split_by_dest.
     mine = comm.rank
     dest_parts: List[np.ndarray] = []
     src_parts: List[np.ndarray] = []
-    for src_idx, regions in regions_per_leaf:
-        if not len(regions):
-            continue
-        dests, ridx = forest.owner_segments(regions)
-        keep = dests != mine
-        dest_parts.append(dests[keep])
-        src_parts.append(src_idx[ridx[keep]])
+    if n:
+        src_all, nb = neighborhood(leaves, codim)
+        inside = nb.inside_root()
+        outside = ~inside
+        routed = route_exterior_indexed(forest.conn, nb[outside], src_all[outside])
+        for src_idx, regions in ((src_all[inside], nb[inside]), routed):
+            if not len(regions):
+                continue
+            dests, ridx = forest.owner_segments(regions)
+            keep = dests != mine
+            dest_parts.append(dests[keep])
+            src_parts.append(src_idx[ridx[keep]])
 
     mirror_map: Dict[int, np.ndarray] = {}
     if dest_parts:
@@ -179,22 +181,13 @@ def _build_ghost_multilayer(forest: Forest, codim: int, layers: int) -> GhostLay
     region.  Mirror/ghost maps are extended so data exchange covers the
     whole halo.
     """
-    from repro.p4est.balance import generate_neighbor_regions
-    from repro.p4est.octant import is_ancestor_pairwise, searchsorted_octants
-
     comm = forest.comm
     dim = forest.dim
     ghost = build_ghost(forest, codim=codim, layers=1)
-    mirror_sets: Dict[int, set] = {
-        p: set(idx.tolist()) for p, idx in ghost.mirror_map.items()
-    }
+    # Sorted unique local indices per neighbor rank, grown by merges.
+    mirror_map: Dict[int, np.ndarray] = dict(ghost.mirror_map)
     g_octs = ghost.octants
     g_owner = ghost.owners
-
-    def known_keys(octs: Octants) -> set:
-        return set(zip(octs.tree.tolist(), octs.keys().tolist()))
-
-    known = known_keys(forest.local) | known_keys(g_octs)
 
     frontier = g_octs
     for _ in range(layers - 1):
@@ -236,40 +229,32 @@ def _build_ghost_multilayer(forest: Forest, codim: int, layers: int) -> GhostLay
                 contain = (lo_i > 0) & is_ancestor_pairwise(anc, regs)
                 hit[pos[contain]] = True
             idx = np.flatnonzero(hit)
-            mirror_sets.setdefault(int(src), set()).update(idx.tolist())
+            prev = mirror_map.get(int(src))
+            mirror_map[int(src)] = idx if prev is None else np.union1d(prev, idx)
             reply[int(src)] = octants_to_wire(mine[idx])
         answers = comm.exchange(reply)
 
-        new_parts: List[Octants] = []
-        new_owner_parts: List[np.ndarray] = []
-        for src in sorted(answers):
-            got = octants_from_wire(dim, answers[src])
-            fresh = np.array(
-                [
-                    (t, k) not in known
-                    for t, k in zip(got.tree.tolist(), got.keys().tolist())
-                ],
-                dtype=bool,
+        # Answers are other ranks' leaves, so they are never my own; keep
+        # those not already in the (sorted) halo, found by a flat
+        # (tree, key) bisect instead of a Python set of tuples.
+        parts = [(src, octants_from_wire(dim, answers[src])) for src in sorted(answers)]
+        parts = [(src, got) for src, got in parts if len(got)]
+        frontier = Octants.empty(dim)
+        if parts:
+            got = Octants.concat([got for _, got in parts])
+            got_owner = np.concatenate(
+                [np.full(len(got), src, dtype=np.int64) for src, got in parts]
             )
+            fresh = ~_contains(g_octs, got)
             if fresh.any():
-                kept = got[fresh]
-                new_parts.append(kept)
-                new_owner_parts.append(np.full(len(kept), src, dtype=np.int64))
-                known |= known_keys(kept)
-        if new_parts:
-            frontier = Octants.concat(new_parts).sorted()
-            add_owners = np.concatenate(new_owner_parts)
-            merged = Octants.concat([g_octs, Octants.concat(new_parts)])
-            g_owner = np.concatenate([g_owner, add_owners])
-            order = merged.sort_order()
-            g_octs = merged[order]
-            g_owner = g_owner[order]
-        else:
-            frontier = Octants.empty(dim)
+                frontier = got[fresh].sorted()
+                merged = Octants.concat([g_octs, got[fresh]])
+                g_owner = np.concatenate([g_owner, got_owner[fresh]])
+                order = merged.sort_order()
+                g_octs = merged[order]
+                g_owner = g_owner[order]
 
-    mirror_map = {
-        p: np.array(sorted(s), dtype=np.int64) for p, s in mirror_sets.items() if s
-    }
+    mirror_map = {p: idx for p, idx in mirror_map.items() if len(idx)}
     ghost_map = {
         int(src): np.flatnonzero(g_owner == src) for src in np.unique(g_owner)
     }
@@ -281,14 +266,12 @@ def _build_ghost_multilayer(forest: Forest, codim: int, layers: int) -> GhostLay
     return GhostLayer(g_octs, g_owner, mirrors, mirror_map, ghost_map)
 
 
-def _route_exterior_indexed(
-    forest: Forest, ext: Octants, src_idx: np.ndarray
-) -> List[Tuple[np.ndarray, Octants]]:
-    """Like balance's exterior routing, but keeps source-leaf indices.
-
-    ``forest`` only needs a ``conn`` attribute (the nodes module passes a
-    minimal duck-typed carrier).
-    """
-    from repro.p4est.balance import route_exterior_indexed
-
-    return route_exterior_indexed(forest.conn, ext, src_idx)
+def _contains(sorted_octs: Octants, queries: Octants) -> np.ndarray:
+    """Boolean per query: an equal octant occurs in ``sorted_octs``."""
+    if not len(sorted_octs) or not len(queries):
+        return np.zeros(len(queries), dtype=bool)
+    pos = searchsorted_octants(sorted_octs, queries)
+    pos = np.minimum(pos, len(sorted_octs) - 1)
+    return (sorted_octs.tree[pos] == queries.tree) & (
+        sorted_octs.keys()[pos] == queries.keys()
+    )

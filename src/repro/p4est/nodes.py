@@ -27,7 +27,8 @@ interpolating the parent values (exact at coincident positions), which
 enforces the continuity constraints of §II-E.
 
 Canonicalization.  Keys on a tree boundary are mapped through the
-face/edge/corner links of the connectivity (scaled transforms; pinned
+face/edge/corner links of the connectivity (one evaluation of the
+link-image table on the N-scaled lattice: scaled transforms, pinned
 edge/corner images) and replaced by the lexicographically smallest image,
 so nodes shared between trees — in arbitrarily rotated frames — collapse
 to one key, the paper's "canonicalized to the lowest numbered octree".
@@ -48,9 +49,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.p4est.balance import corner_index, edge_index
+from repro.p4est.balance import route_exterior_indexed
 from repro.p4est.connectivity import (
-    EDGE_CORNERS,
     Connectivity,
     edge_axis,
     edge_transverse_sides,
@@ -61,7 +61,9 @@ from repro.p4est.forest import Forest
 from repro.p4est.ghost import GhostLayer
 from repro.p4est.octant import (
     Octants,
+    all_neighbor_offsets,
     is_ancestor_pairwise,
+    neighborhood,
     searchsorted_octants,
 )
 from repro.parallel.comm import Comm
@@ -193,61 +195,54 @@ def _classify_regions(
 
 
 def _batch_region_config(
-    conn: Connectivity,
-    combined: Octants,
-    elems: Octants,
-    offsets: List[np.ndarray],
+    conn: Connectivity, combined: Octants, elems: Octants
 ) -> np.ndarray:
     """Per-(direction, element) neighbor configuration, in one pass.
 
-    For every unit offset in ``offsets`` the same-size neighbor region of
-    every element is generated (routed through the macro links when it
-    leaves the root cube), then ALL regions of all directions are
-    classified against the combined leaf set with a single searchsorted
-    batch and merged per (direction, element) with an order-independent
-    elementwise maximum (COARSER > CONFORMING > BOUNDARY) — the former
-    per-direction, per-image classification loop issued hundreds of tiny
-    bisections per Nodes call.
+    The same-size neighbor region of every element is generated in every
+    face (and, in 3D, edge) direction at once; the regions leaving the
+    root cube are routed through the macro links in one table pass.  All
+    regions are classified against the combined leaf set and merged per
+    (direction, element) with an order-independent elementwise maximum
+    (COARSER > CONFORMING > BOUNDARY).
 
-    Returns an ``(ndir, nelem)`` int8 config array.
+    Returns an ``(ndir, nelem)`` int8 config array, faces first in face
+    order, then (3D) edges in edge order.
     """
-    nelem = len(elems)
-    ndir = len(offsets)
-    h = elems.lens()
-    parts: List[Octants] = []
-    tags: List[np.ndarray] = []
-    for d, off in enumerate(offsets):
-        nb = elems.shifted(off[0] * h, off[1] * h, off[2] * h)
-        inside = nb.inside_root()
-        idx_in = np.flatnonzero(inside)
-        if len(idx_in):
-            parts.append(nb[idx_in])
-            tags.append(d * nelem + idx_in)
-        idx_out = np.flatnonzero(~inside)
-        if len(idx_out):
-            for gidx, regs in _images_of_regions(conn, nb[idx_out], idx_out):
-                parts.append(regs)
-                tags.append(d * nelem + gidx)
-    cfg = np.full(ndir * nelem, BOUNDARY, dtype=np.int8)
-    if parts:
-        got = _classify_regions(combined, Octants.concat(parts), None)
-        np.maximum.at(cfg, np.concatenate(tags), got)
-    return cfg.reshape(ndir, nelem)
+    codim = 2 if conn.dim == 3 else 1
+    _, nb = neighborhood(elems, codim)
+    # Region i of ``nb`` is neighborhood block i // nelem applied to
+    # element i % nelem, so its position is also its flat config slot.
+    pos = np.arange(len(nb), dtype=np.int64)
+    inside = nb.inside_root()
+    outside = ~inside
+    cfg = np.full(len(nb), BOUNDARY, dtype=np.int8)
+    for tags, regions in (
+        (pos[inside], nb[inside]),
+        route_exterior_indexed(conn, nb[outside], pos[outside]),
+    ):
+        np.maximum.at(cfg, tags, _classify_regions(combined, regions, None))
+    offsets = all_neighbor_offsets(conn.dim, codim).tolist()
+    block = {tuple(off): j for j, off in enumerate(offsets)}
+    rows = [block[off] for off in _direction_offsets(conn.dim)]
+    return cfg.reshape(len(offsets), len(elems))[rows]
 
 
-def _images_of_regions(
-    conn: Connectivity, ext: Octants, src_idx: np.ndarray
-) -> List[Tuple[np.ndarray, Octants]]:
-    """Route exterior neighbor regions through the macro links, keeping
-    the source-element indices (shared with ghost construction)."""
-    from repro.p4est.ghost import _route_exterior_indexed
-
-    class _F:  # minimal duck-typed carrier for the helper
-        pass
-
-    f = _F()
-    f.conn = conn
-    return _route_exterior_indexed(f, ext, src_idx)
+def _direction_offsets(dim: int) -> List[Tuple[int, int, int]]:
+    """Unit offset of each face direction, then (3D) of each edge."""
+    offs = []
+    for f in range(2 * dim):
+        axis, side = face_axis_side(f)
+        off = [0, 0, 0]
+        off[axis] = 1 if side == 1 else -1
+        offs.append(tuple(off))
+    if dim == 3:
+        for e in range(12):
+            off = [0, 0, 0]
+            for a, sd in edge_transverse_sides(e).items():
+                off[a] = 1 if sd == 1 else -1
+            offs.append(tuple(off))
+    return offs
 
 
 @traced(PHASE_NODES)
@@ -282,19 +277,7 @@ def lnodes(forest: Forest, ghost: GhostLayer, degree: int) -> LNodes:
     hanging_face = np.full((nelem, nfaces), -1, dtype=np.int8)
     cid = elems.child_ids().astype(np.int64)
     # One batched classification over every face (and edge) direction.
-    offsets: List[np.ndarray] = []
-    for f in range(nfaces):
-        axis, side = face_axis_side(f)
-        off = np.zeros(3, dtype=np.int64)
-        off[axis] = 1 if side == 1 else -1
-        offsets.append(off)
-    if dim == 3:
-        for e in range(12):
-            off = np.zeros(3, dtype=np.int64)
-            for a, s in edge_transverse_sides(e).items():
-                off[a] = 1 if s == 1 else -1
-            offsets.append(off)
-    cfg_all = _batch_region_config(conn, combined, elems, offsets)
+    cfg_all = _batch_region_config(conn, combined, elems)
 
     for f in range(nfaces):
         hang = cfg_all[f] == COARSER
@@ -504,87 +487,36 @@ def _rows_view(arr: np.ndarray) -> np.ndarray:
 
 def _canonicalize_keys(conn: Connectivity, keys: np.ndarray, N: int) -> np.ndarray:
     """Replace each key by its lexicographically smallest image across the
-    tree links (faces/edges/corners), on the N-scaled lattice."""
-    dim = conn.dim
-    L = conn.D.root_len
-    NL = N * L
-    keys = keys.copy()
+    tree links (faces/edges/corners), on the N-scaled lattice.
 
-    # Boundary pattern per node: per axis 0 interior, 1 at 0, 2 at NL.
-    patt = np.zeros(len(keys), dtype=np.int64)
+    Every boundary key and all its link images are evaluated in one pass
+    of the link-image table; one ``lexsort`` by (source key, tree, x, y, z)
+    then puts each key's minimum first in its run.
+    """
+    dim = conn.dim
+    NL = N * conn.D.root_len
+
+    # Boundary code per node: per axis 0 interior, 1 at 0, 2 at NL.
+    code = keys[:, 0] * 3**dim
     for a in range(dim):
-        at0 = keys[:, 1 + a] == 0
-        atL = keys[:, 1 + a] == NL
-        patt += (at0 * 1 + atL * 2) * (3**a)
-    on_boundary = patt > 0
-    if not on_boundary.any():
+        code += (keys[:, 1 + a] == 0) * 3**a + (keys[:, 1 + a] == NL) * (2 * 3**a)
+    bidx = np.flatnonzero(code % 3**dim)
+    keys = keys.copy()
+    if not len(bidx):
         return keys
 
-    bidx = np.flatnonzero(on_boundary)
-    combined = keys[bidx, 0] * (3**dim) + patt[bidx]
-    best = keys[bidx].copy()
-
-    for code in np.unique(combined):
-        sel = np.flatnonzero(combined == code)
-        rows = bidx[sel]
-        tree = int(code // (3**dim))
-        p = int(code % (3**dim))
-        digits = [(p // (3**a)) % 3 for a in range(dim)]
-        baxes = [a for a in range(dim) if digits[a] != 0]
-        sides = {a: digits[a] - 1 for a in baxes}
-        group = keys[rows]
-        images: List[np.ndarray] = []
-        if len(baxes) == 1:
-            a = baxes[0]
-            face = 2 * a + sides[a]
-            link = conn.face_links.get((tree, face))
-            if link is not None:
-                coords = [group[:, 1 + j] for j in range(dim)]
-                img = link.transform.apply_points(coords, scale=N)
-                images.append(_assemble_keys(link.nb_tree, img, len(group)))
-        elif len(baxes) == 2 and dim == 3:
-            axis = next(a for a in range(3) if a not in baxes)
-            e = edge_index(axis, sides)
-            for elink in conn.edge_links.get((tree, e), ()):
-                a2 = edge_axis(elink.nb_edge)
-                along = group[:, 1 + axis]
-                along2 = (NL - along) if elink.flipped else along
-                img = [None, None, None]
-                img[a2] = along2
-                for ax, s in edge_transverse_sides(elink.nb_edge).items():
-                    img[ax] = np.full(len(group), 0 if s == 0 else NL, dtype=np.int64)
-                images.append(_assemble_keys(elink.nb_tree, img, len(group)))
-        else:
-            cidx = corner_index(dim, sides)
-            for clink in conn.corner_links.get((tree, cidx), ()):
-                img = []
-                for a in range(dim):
-                    bit = (clink.nb_corner >> a) & 1
-                    img.append(np.full(len(group), 0 if bit == 0 else NL, dtype=np.int64))
-                images.append(_assemble_keys(clink.nb_tree, img, len(group)))
-        cur = best[sel]
-        for img in images:
-            smaller = _lex_less(img, cur)
-            cur = np.where(smaller[:, None], img, cur)
-        best[sel] = cur
-
-    keys[bidx] = best
-    return keys
-
-
-def _assemble_keys(tree: int, coords: List[np.ndarray], n: int) -> np.ndarray:
-    out = np.empty((n, 4), dtype=np.int64)
-    out[:, 0] = tree
+    coords = [keys[bidx, 1 + a] for a in range(dim)]
+    src, tree, out = conn.link_images.apply(code[bidx], coords, scale=N)
+    # Candidates: each boundary key itself, then its images.
+    cand_src = np.concatenate([np.arange(len(bidx), dtype=np.int64), src])
+    cand = np.empty((len(cand_src), 4), dtype=np.int64)
+    cand[:, 0] = np.concatenate([keys[bidx, 0], tree])
     for a in range(3):
-        out[:, 1 + a] = coords[a] if a < len(coords) and coords[a] is not None else 0
-    return out
-
-
-def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rowwise lexicographic a < b for (n, 4) integer arrays."""
-    less = np.zeros(len(a), dtype=bool)
-    tie = np.ones(len(a), dtype=bool)
-    for c in range(a.shape[1]):
-        less |= tie & (a[:, c] < b[:, c])
-        tie &= a[:, c] == b[:, c]
-    return less
+        cand[:, 1 + a] = (
+            np.concatenate([coords[a], out[a]]) if a < dim else 0
+        )
+    order = np.lexsort((cand[:, 3], cand[:, 2], cand[:, 1], cand[:, 0], cand_src))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = cand_src[order[1:]] != cand_src[order[:-1]]
+    keys[bidx] = cand[order[first]]
+    return keys

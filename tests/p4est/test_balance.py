@@ -6,13 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.p4est.balance import (
-    balance,
-    corner_index,
-    edge_index,
-    generate_neighbor_regions,
-    is_balanced,
-)
+from repro.p4est.balance import balance, generate_neighbor_regions, is_balanced
 from repro.p4est.builders import (
     brick_2d,
     brick_3d,
@@ -22,6 +16,7 @@ from repro.p4est.builders import (
     unit_cube,
     unit_square,
 )
+from repro.p4est.connectivity import corner_index, edge_index
 from repro.p4est.forest import Forest, octants_from_wire, octants_to_wire
 from repro.p4est.octant import Octants, is_ancestor_pairwise
 from repro.parallel import SerialComm

@@ -29,7 +29,9 @@ from repro.p4est.connectivity import (
     CellTransform,
     Connectivity,
     corner_coords,
+    corner_index,
     edge_axis,
+    edge_index,
     edge_transverse_sides,
     face_axis_side,
     face_tangential_axes,
@@ -348,6 +350,117 @@ def test_corner_link_seed():
         expect = corner_coords(2, link.nb_corner, L)
         assert s.x == (0 if expect[0] == 0 else L - h)
         assert s.y == (0 if expect[1] == 0 else L - h)
+
+
+# The link-image table ------------------------------------------------------------
+
+TABLE_BUILDERS = {
+    "shell": shell,
+    "rotcubes": rotcubes,
+    "brick3d-periodic": lambda: brick_3d(3, 2, 2, periodic_x=True, periodic_y=True),
+    "brick2d-periodic": lambda: brick_2d(2, 2, periodic_x=True, periodic_y=True),
+    "unit_square": unit_square,
+}
+
+
+def _codes(conn):
+    """Every (tree, boundary pattern) code with its per-axis sides."""
+    for tree in range(conn.num_trees):
+        for pattern in range(1, 3**conn.dim):
+            digits = [(pattern // 3**a) % 3 for a in range(conn.dim)]
+            sides = {a: d - 1 for a, d in enumerate(digits) if d}
+            yield tree * 3**conn.dim + pattern, tree, sides
+
+
+def _link_images_of(conn, tree, sides):
+    """The face/edge/corner links reached from a boundary pattern."""
+    if len(sides) == 1:
+        ((a, side),) = sides.items()
+        link = conn.face_links.get((tree, 2 * a + side))
+        return [("face", link)] if link is not None else []
+    if len(sides) == 2 and conn.dim == 3:
+        axis = next(a for a in range(3) if a not in sides)
+        return [("edge", el) for el in conn.edge_links.get((tree, edge_index(axis, sides)), ())]
+    cidx = corner_index(conn.dim, sides)
+    return [("corner", cl) for cl in conn.corner_links.get((tree, cidx), ())]
+
+
+def _rows(src, tree, coords, extra):
+    cols = [src, tree] + list(coords) + [extra]
+    return sorted(zip(*(np.asarray(c).tolist() for c in cols)))
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_BUILDERS))
+def test_link_image_table_cells_match_link_objects(name):
+    """Table images of exterior octants equal the link objects' images
+    (as multisets per source octant) for every (tree, pattern) code."""
+    conn = TABLE_BUILDERS[name]()
+    dim, L = conn.dim, conn.D.root_len
+    rng = np.random.default_rng(7)
+    for code, tree, sides in _codes(conn):
+        level = rng.integers(1, 5, size=6)
+        h = (L >> level).astype(np.int64)
+        cols = []
+        for a in range(3):
+            if a >= dim:
+                cols.append(np.zeros(6, dtype=np.int64))
+            elif a in sides:
+                cols.append(np.where(sides[a] == 0, -h, L))
+            else:
+                cols.append(rng.integers(0, 1 << level) * h)
+        octs = Octants(dim, np.full(6, tree), *cols, level)
+        want = []
+        for kind, link in _link_images_of(conn, tree, sides):
+            if kind == "face":
+                img = link.transform.apply_octants(octs, link.nb_tree)
+            else:
+                img = link.seed_octants(octs, L)
+            want.append(_rows(np.arange(6), img.tree, [img.x, img.y, img.z][:dim], img.level))
+        want = sorted(sum(want, []))
+        src, t2, out = conn.link_images.apply(
+            np.full(6, code), [octs.x, octs.y, octs.z][:dim], h=octs.lens()
+        )
+        assert _rows(src, t2, out, octs.level[src]) == want, (name, code)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_BUILDERS))
+def test_link_image_table_points_match_link_rules(name):
+    """Table images of boundary lattice points at ``scale=N`` equal the
+    face transforms' ``apply_points`` and the edge/corner pinning rules."""
+    conn = TABLE_BUILDERS[name]()
+    dim, N = conn.dim, 3
+    NL = N * conn.D.root_len
+    rng = np.random.default_rng(11)
+    for code, tree, sides in _codes(conn):
+        coords = [
+            np.full(5, 0 if sides[a] == 0 else NL) if a in sides else rng.integers(1, NL, 5)
+            for a in range(dim)
+        ]
+        want = []
+        for kind, link in _link_images_of(conn, tree, sides):
+            if kind == "face":
+                img = link.transform.apply_points(coords, scale=N)
+            elif kind == "edge":
+                axis = next(a for a in range(3) if a not in sides)
+                img = [np.zeros(5, dtype=np.int64) for _ in range(3)]
+                along = coords[axis]
+                img[edge_axis(link.nb_edge)] = NL - along if link.flipped else along
+                for ax, sd in edge_transverse_sides(link.nb_edge).items():
+                    img[ax] = np.full(5, sd * NL)
+            else:
+                img = [np.full(5, c * N) for c in corner_coords(dim, link.nb_corner, NL // N)]
+            want.append(_rows(np.arange(5), np.full(5, link.nb_tree), img, np.zeros(5)))
+        want = sorted(sum(want, []))
+        src, t2, out = conn.link_images.apply(np.full(5, code), coords, scale=N)
+        assert _rows(src, t2, out, np.zeros(len(src))) == want, (name, code)
+
+
+def test_link_image_table_is_per_instance():
+    """The table lives on its connectivity (no cache shared by instances)."""
+    a, b = shell(), shell()
+    assert a.link_images is a.link_images
+    assert a.link_images is not b.link_images
+    assert "link_images" in vars(a)
 
 
 def test_nonconforming_rejected():

@@ -183,3 +183,57 @@ def test_mirrors_match_neighbor_ghosts(size):
         return True
 
     assert all(spmd(size, prog))
+
+
+def test_shell_routing_is_batched(monkeypatch):
+    """Structure guard, independent of host speed: on the 24-tree shell
+    one ``build_ghost`` makes at most two owner searches (inside regions,
+    then all routed exterior regions) and one exterior-routing call, and
+    one ``lnodes`` makes one routing call — never one per link group."""
+    import threading
+
+    import repro.p4est.ghost as ghost_mod
+    import repro.p4est.nodes as nodes_mod
+    from repro.p4est.nodes import lnodes
+
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            key = (threading.get_ident(), name)
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        Forest, "owner_segments", counted("owner", Forest.owner_segments)
+    )
+    for mod in (ghost_mod, nodes_mod):
+        monkeypatch.setattr(
+            mod, "route_exterior_indexed", counted("route", mod.route_exterior_indexed)
+        )
+    conn = shell()
+
+    def counts():
+        me = threading.get_ident()
+        got = {name: n for (tid, name), n in calls.items() if tid == me}
+        for key in [k for k in calls if k[0] == me]:
+            del calls[key]
+        return got
+
+    def prog(comm):
+        forest = Forest.new(conn, comm, level=1)
+        forest.refine(callback=lambda o: fractal_mask(o, 3), recursive=True)
+        forest.partition()
+        balance(forest)
+        counts()
+        ghost = build_ghost(forest)
+        in_ghost = counts()
+        lnodes(forest, ghost, 2)
+        return in_ghost, counts()
+
+    for in_ghost, in_nodes in spmd(3, prog):
+        assert 1 <= in_ghost.get("owner", 0) <= 2, in_ghost
+        assert in_ghost.get("route", 0) == 1, in_ghost
+        assert in_nodes.get("route", 0) == 1, in_nodes
